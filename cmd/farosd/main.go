@@ -268,13 +268,16 @@ func run() int {
 	})
 	srv := &http.Server{Addr: *addr, Handler: handler}
 
+	// Install the signal handler before the listener starts: once /readyz
+	// can answer, a SIGTERM must drain and sync the store, not kill farosd
+	// by its default action.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Printf("farosd listening on %s (%d workers, %v job timeout)\n",
 		*addr, pool.Stats().Workers, *timeout)
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Printf("farosd: %v, shutting down\n", sig)

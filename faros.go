@@ -23,7 +23,10 @@
 package faros
 
 import (
+	"maps"
+	"slices"
 	"sort"
+	"sync"
 
 	"faros/internal/core"
 	"faros/internal/samples"
@@ -65,14 +68,18 @@ func AnalyzeWith(spec Spec, cfg Config) (*Result, error) {
 	return scenario.RunLive(spec, scenario.Plugins{Faros: &cfg})
 }
 
-// Scenarios returns every built-in scenario by name: the six attacks, the
-// transient variant, 20 JIT workloads, 14 benign programs, and the
-// 90-sample malware corpus.
-func Scenarios() map[string]Spec {
-	out := make(map[string]Spec)
+// builtin is the built-in scenario namespace, assembled on first use and
+// never again: building the 133 specs costs milliseconds and megabytes of
+// garbage, and every named farosd submission looks one up. The specs
+// share their Programs, Endpoints and Events backing arrays with every
+// caller, so they are read-only; the run path only reads them (program
+// images are copied into the guest filesystem, endpoints are stateless
+// values, packet payloads are never written in place).
+var builtin = sync.OnceValues(func() (map[string]Spec, []string) {
+	byName := make(map[string]Spec)
 	add := func(specs []Spec) {
 		for _, s := range specs {
-			out[s.Name] = s
+			byName[s.Name] = s
 		}
 	}
 	add(samples.Attacks())
@@ -81,18 +88,28 @@ func Scenarios() map[string]Spec {
 	add(samples.JITWorkloads())
 	add(samples.BenignPrograms())
 	add(samples.MalwareCorpus())
-	return out
+	names := make([]string, 0, len(byName))
+	for n := range byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return byName, names
+})
+
+// Scenarios returns every built-in scenario by name: the six attacks, the
+// transient variant, 20 JIT workloads, 14 benign programs, and the
+// 90-sample malware corpus. The map is the caller's own, but its specs
+// share their slices with the built-in namespace and must not be written
+// through.
+func Scenarios() map[string]Spec {
+	byName, _ := builtin()
+	return maps.Clone(byName)
 }
 
 // ScenarioNames returns the built-in scenario names, sorted.
 func ScenarioNames() []string {
-	m := Scenarios()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	_, names := builtin()
+	return slices.Clone(names)
 }
 
 // Attacks returns the six §VI in-memory-injection scenarios.

@@ -58,7 +58,9 @@ type AnalyzeRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// Config overrides the live-mode engine configuration.
 	Config *core.Config `json:"config,omitempty"`
-	// TimeoutMS bounds the job's wall time (0 = server default).
+	// TimeoutMS bounds the job's wall time (0 = server default). It is
+	// capped at the server default when that is enabled; a negative value
+	// is rejected with 400.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Wait makes the request block until the job settles and return the
 	// finished job instead of 202.
@@ -153,6 +155,31 @@ func (sc ServerConfig) resolveSpec(req AnalyzeRequest) (samples.Spec, error) {
 		}
 		return spec, nil
 	}
+}
+
+// maxAnalyzeBody bounds a POST /analyze body (413 beyond it). The largest
+// built-in spec's wire form is under 6 KB; the bound leaves room for
+// bring-your-own specs with sizeable images and only stops a hostile or
+// accidental giant body from being decoded into memory.
+const maxAnalyzeBody = 4 << 20
+
+// jobTimeout turns a request's timeout_ms into the job's deadline: 0 keeps
+// the server default, a negative value is rejected (it would otherwise run
+// the job with no deadline at all), and a positive value is capped at the
+// server's own deadline when that is enabled, so no client can hold a
+// worker longer than the operator allows.
+func jobTimeout(ms int64, server time.Duration) (time.Duration, error) {
+	if ms < 0 {
+		return 0, &httpError{http.StatusBadRequest, fmt.Sprintf("timeout_ms %d: must not be negative (0 = server default)", ms)}
+	}
+	if ms > int64(math.MaxInt64/time.Millisecond) {
+		ms = int64(math.MaxInt64 / time.Millisecond)
+	}
+	timeout := time.Duration(ms) * time.Millisecond
+	if server > 0 && timeout > server {
+		timeout = server
+	}
+	return timeout, nil
 }
 
 // maxTraceUpload bounds a POST /traces body. Encoded traces are a few
@@ -326,12 +353,22 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			}
 		}
 		var req AnalyzeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "body: " + err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnalyzeBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, &httpError{status, "body: " + err.Error()})
+			return
+		}
+		timeout, err := jobTimeout(req.TimeoutMS, p.cfg.JobTimeout)
+		if err != nil {
+			writeErr(w, err)
 			return
 		}
 		preq := Request{
-			Timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
+			Timeout: timeout,
 			NoCache: req.NoCache,
 		}
 		if req.Config != nil {
