@@ -111,6 +111,28 @@ func parsePeers(flagVal, filePath string) (map[string]string, error) {
 	return peers, nil
 }
 
+// Connection bounds: a client must finish sending its request headers
+// within serverReadHeaderTimeout, and a keep-alive connection idle for
+// serverIdleTimeout is closed, so neither a stalled nor an idle client
+// holds a connection indefinitely.
+const (
+	serverReadHeaderTimeout = 10 * time.Second
+	serverIdleTimeout       = 2 * time.Minute
+)
+
+// newServer builds farosd's HTTP server. ReadTimeout and WriteTimeout stay
+// unset on purpose: GET /events is a long-lived SSE stream that a write
+// deadline would cut off, and a 256 MiB POST /traces upload must not be
+// cut mid-body by a read deadline on a slow link.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serverReadHeaderTimeout,
+		IdleTimeout:       serverIdleTimeout,
+	}
+}
+
 func main() {
 	os.Exit(run())
 }
@@ -266,7 +288,7 @@ func run() int {
 		Names:     faros.ScenarioNames,
 		Admission: &admission,
 	})
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newServer(*addr, handler)
 
 	// Install the signal handler before the listener starts: once /readyz
 	// can answer, a SIGTERM must drain and sync the store, not kill farosd

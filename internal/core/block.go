@@ -1,9 +1,12 @@
-// The fused block executor: FAROS's side of the VM's block dispatch.
+// The fused block executor: FAROS's side of the VM's block dispatch, the
+// ExecBlock half of its vm.Engine implementation.
 //
-// BeforeInstr remains the per-instruction reference semantics; ExecBlock is
-// the same dataflow compiled into one loop over a predecoded micro-op
-// stream, so a block costs one interface call instead of one per
-// instruction, and the per-instruction op×mode re-derivation disappears.
+// BeforeInstr remains the per-instruction semantics — the observer of the
+// VM's Step fallback and the reference the differential tests compare
+// against; ExecBlock is the same dataflow compiled into one loop over a
+// predecoded micro-op stream, so a block costs one interface call instead
+// of one per instruction, and the per-instruction op×mode re-derivation
+// disappears.
 // Three observations make it fast while staying bit-identical:
 //
 //   - The taint side of every micro-op is known at lowering time (Table I),
@@ -39,13 +42,13 @@ import (
 	"faros/internal/vm"
 )
 
-var _ vm.BlockPlugin = (*FAROS)(nil)
+var _ vm.Engine = (*FAROS)(nil)
 
-// ExecBlock implements vm.BlockPlugin: execute predecoded blocks with the
+// ExecBlock implements vm.Engine: execute predecoded blocks with the
 // engine's taint effects fused into the dispatch loop, chaining from block
 // to block until the budget runs out, a trap or fault surfaces, or the next
 // PC has no cached block — one interface call per chain, not per block.
-func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm.Trap, error, bool) {
+func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm.Trap, error) {
 	var total uint64
 	if f.bank == nil {
 		// No process context: the reference observer only counts
@@ -61,10 +64,10 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 			total += n
 			budget -= n
 			if trap != vm.TrapNone || err != nil || budget == 0 {
-				return total, trap, err, true
+				return total, trap, err
 			}
 			if b = m.LookupBlock(m.CPU.EIP); b == nil || uint64(b.NInstr) > budget {
-				return total, vm.TrapNone, nil, true
+				return total, vm.TrapNone, nil
 			}
 		}
 	}
@@ -75,7 +78,7 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 	// blocks by entry PC and skip the full lookup. Within a chain the
 	// mapping generation cannot move (syscalls and faults end chains), and
 	// any block invalidation bumps the epoch, which flushes the cache —
-	// the same staleness signals lookupBlock itself relies on. PCs are
+	// the same staleness signals LookupBlock itself relies on. PCs are
 	// instruction-aligned, so an odd value means an empty slot.
 	epoch := m.BlockEpoch()
 	cpc := [2]uint32{1, 1}
@@ -120,7 +123,7 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 		total += n
 		budget -= n
 		if trap != vm.TrapNone || err != nil || budget == 0 {
-			return total, trap, err, true
+			return total, trap, err
 		}
 		if e := m.BlockEpoch(); e != epoch {
 			epoch, cpc[0], cpc[1] = e, 1, 1
@@ -135,11 +138,11 @@ func (f *FAROS) ExecBlock(m *vm.Machine, b *vm.Block, budget uint64) (uint64, vm
 			b = cbk[1]
 		default:
 			if b = m.LookupBlock(pc); b == nil {
-				return total, vm.TrapNone, nil, true
+				return total, vm.TrapNone, nil
 			}
 		}
 		if uint64(b.NInstr) > budget {
-			return total, vm.TrapNone, nil, true
+			return total, vm.TrapNone, nil
 		}
 	}
 }

@@ -96,24 +96,6 @@ type Finding struct {
 	Prov *provgraph.Graph
 }
 
-// BlockStats counts block-dispatch activity: the VM's predecoded block
-// cache plus the engine's taint-no-op fast path.
-type BlockStats struct {
-	// Built counts basic blocks decoded and lowered to micro-ops.
-	Built uint64
-	// Hits counts block dispatches served from the cache.
-	Hits uint64
-	// Invalidated counts frames whose cached blocks were dropped by
-	// self-modifying-code signals.
-	Invalidated uint64
-	// FusedOps counts superinstructions (fused micro-ops) retired.
-	FusedOps uint64
-	// UntaintedFastBlocks counts block executions that ran start to finish
-	// on the taint-no-op dispatch loop (clean register bank, every touched
-	// page clean) without a single propagation call.
-	UntaintedFastBlocks uint64
-}
-
 // Stats summarizes engine activity for the performance and ablation tables.
 type Stats struct {
 	Taint         taint.Stats
@@ -128,7 +110,7 @@ type Stats struct {
 	ProvGraphNodes  uint64
 	ProvGraphEdges  uint64
 	// Block counts block-dispatch activity.
-	Block BlockStats
+	Block vm.BlockStats
 }
 
 // pageTLB is a one-entry software TLB over Space.FrameOf: the engine's
@@ -250,8 +232,8 @@ type FAROS struct {
 
 var _ guest.TaintBridge = (*FAROS)(nil)
 
-// Attach installs FAROS on a kernel: it becomes the taint bridge, registers
-// the instruction hook, and tags the kernel export table region.
+// Attach installs FAROS on a kernel: it becomes the taint bridge and the
+// machine's analysis engine, and tags the kernel export table region.
 func Attach(k *guest.Kernel, cfg Config) *FAROS {
 	f := &FAROS{
 		T:           taint.NewStore(cfg.ListCap),
@@ -265,7 +247,7 @@ func Attach(k *guest.Kernel, cfg Config) *FAROS {
 	}
 	f.exportTag = f.T.ExportTableTag()
 	k.Bridge = f
-	k.M.OnInstrPlugin(f)
+	k.M.AttachEngine(f)
 
 	// Tag insertion for the export table: taint the whole region in the
 	// shared physical frames so every process sees it.
@@ -300,7 +282,8 @@ func (f *FAROS) Flagged() bool { return len(f.findings) > 0 }
 
 // Stats returns the engine counters.
 func (f *FAROS) Stats() Stats {
-	vb := f.k.M.BlockStats()
+	block := f.k.M.BlockStats()
+	block.UntaintedFastBlocks = f.fastBlocks
 	return Stats{
 		Taint:         f.T.Stats(),
 		Instructions:  f.instrs,
@@ -313,13 +296,7 @@ func (f *FAROS) Stats() Stats {
 		ProvGraphNodes:  f.provNodes,
 		ProvGraphEdges:  f.provEdges,
 
-		Block: BlockStats{
-			Built:               vb.Built,
-			Hits:                vb.Hits,
-			Invalidated:         vb.Invalidated,
-			FusedOps:            vb.FusedOps,
-			UntaintedFastBlocks: f.fastBlocks,
-		},
+		Block: block,
 	}
 }
 
@@ -495,8 +472,8 @@ func (f *FAROS) BeforeInstr(m *vm.Machine, pc uint32, in isa.Instruction) {
 		}
 
 	case isa.OpLd, isa.OpLdb:
-		// Effective address computed inline (the register file is the
-		// pre-execution state, same as vm.EffectiveAddr).
+		// Effective address computed inline from the pre-execution
+		// register file, as Step computes it.
 		addr := m.CPU.Regs[in.Src&7] + in.Imm
 		if in.Mode == isa.ModeRX {
 			addr = m.CPU.Regs[in.Src&7] + m.CPU.Regs[in.Imm&7]

@@ -88,8 +88,12 @@ type perfSnapshot struct {
 	Block          perfBlock       `json:"block"`
 }
 
-// perfRepeats matches scenario.MeasurePerf: fastest of three, since noise
-// only ever adds time.
+// perfRepeats is how many live runs each configuration of the benchmark
+// workload takes; the fastest is reported, since noise only ever adds
+// time. It is below scenario.MeasurePerf's 7 because a noisy reading here
+// is re-measured rather than trusted: cmd/benchgate retries a failing
+// attempt with fresh runs, so three per attempt keeps each attempt (and
+// the full farosbench sweep, which includes this experiment) short.
 const perfRepeats = 3
 
 // Perf measures the guest-execution benchmark workload live (plain and

@@ -1,4 +1,8 @@
 package pipeline
 
-// MaxAnalyzeBody exposes the POST /analyze body bound to the HTTP tests.
-const MaxAnalyzeBody = maxAnalyzeBody
+// MaxAnalyzeBody and MaxTraceUpload expose the POST /analyze and
+// POST /traces body bounds to the HTTP tests.
+const (
+	MaxAnalyzeBody = maxAnalyzeBody
+	MaxTraceUpload = maxTraceUpload
+)

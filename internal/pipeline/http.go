@@ -182,10 +182,22 @@ func jobTimeout(ms int64, server time.Duration) (time.Duration, error) {
 	return timeout, nil
 }
 
-// maxTraceUpload bounds a POST /traces body. Encoded traces are a few
-// hundred KB for the built-in corpus; the bound only stops a hostile or
-// accidental multi-GB upload from exhausting memory.
+// maxTraceUpload bounds a POST /traces body (413 beyond it). Encoded
+// traces are a few hundred KB for the built-in corpus; the bound only stops
+// a hostile or accidental multi-GB upload from exhausting memory.
 const maxTraceUpload = 256 << 20
+
+// bodyError maps a failure to read or decode a request body to its HTTP
+// error: 413 when the body overran its http.MaxBytesReader bound, 400
+// otherwise.
+func bodyError(err error) *httpError {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	return &httpError{status, "body: " + err.Error()}
+}
 
 // resolveTrace validates a trace-selector submission: the trace must be
 // stored, its memory-image digest must match the image this binary boots
@@ -354,12 +366,7 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 		}
 		var req AnalyzeRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnalyzeBody)).Decode(&req); err != nil {
-			status := http.StatusBadRequest
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeErr(w, &httpError{status, "body: " + err.Error()})
+			writeErr(w, bodyError(err))
 			return
 		}
 		timeout, err := jobTimeout(req.TimeoutMS, p.cfg.JobTimeout)
@@ -480,9 +487,14 @@ func NewHandler(p *Pool, cfg ServerConfig) http.Handler {
 			writeErr(w, &httpError{http.StatusBadRequest, "trace ingestion is not enabled (farosd has no trace store)"})
 			return
 		}
+		if r.ContentLength > maxTraceUpload {
+			// Refuse a declared oversize body before reading any of it.
+			writeErr(w, bodyError(&http.MaxBytesError{Limit: maxTraceUpload}))
+			return
+		}
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTraceUpload))
 		if err != nil {
-			writeErr(w, &httpError{http.StatusBadRequest, "body: " + err.Error()})
+			writeErr(w, bodyError(err))
 			return
 		}
 		digest, created, err := traces.Put(data)

@@ -1,8 +1,10 @@
 package pipeline_test
 
 import (
+	"bufio"
 	"fmt"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -92,5 +94,32 @@ func TestAnalyzeBodyBound(t *testing.T) {
 	resp, _ = postAnalyze(t, srv, huge)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("over-limit body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestTraceUploadBound pins the POST /traces body limit: a request that
+// declares a Content-Length past the bound is refused with 413 before any
+// of the body is read. The request carries only a few bytes, so a handler
+// that waited for the declared body would hit the connection deadline
+// instead of answering.
+func TestTraceUploadBound(t *testing.T) {
+	srv, _, _ := newTraceServer(t)
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "POST /traces HTTP/1.1\r\nHost: farosd\r\nContent-Type: application/octet-stream\r\nContent-Length: %d\r\n\r\nFTRC",
+		pipeline.MaxTraceUpload+1)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit Content-Length: status %d, want 413", resp.StatusCode)
 	}
 }

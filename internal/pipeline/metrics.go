@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"faros/internal/store"
+	"faros/internal/vm"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds. Guest runs
@@ -62,7 +63,7 @@ type counters struct {
 	taint                TaintStats
 	prov                 ProvStats
 	trace                TraceStats
-	block                BlockStats
+	block                vm.BlockStats
 	cluster              ClusterStats
 }
 
@@ -102,19 +103,6 @@ type ProvStats struct {
 	Builds uint64 `json:"builds"`
 	Nodes  uint64 `json:"nodes"`
 	Edges  uint64 `json:"edges"`
-}
-
-// BlockStats aggregates the VM block-dispatch counters across completed
-// FAROS jobs: blocks predecoded, cache hits, SMC invalidations, fused
-// superinstruction retirements, and block executions that took the
-// untainted fast loop. High hit and fast-block counts against low builds
-// and invalidations are the signature of the fused dispatcher paying off.
-type BlockStats struct {
-	Built               uint64 `json:"built"`
-	Hits                uint64 `json:"hits"`
-	Invalidated         uint64 `json:"invalidated"`
-	FusedOps            uint64 `json:"fused_ops"`
-	UntaintedFastBlocks uint64 `json:"untainted_fast_blocks"`
 }
 
 // TraceStats counts the replay-farm surface: traces ingested through
@@ -264,7 +252,10 @@ type Stats struct {
 	FindingsByRule map[string]uint64 `json:"findings_by_rule,omitempty"`
 	Taint          TaintStats        `json:"taint"`
 	Prov           ProvStats         `json:"prov"`
-	Block          BlockStats        `json:"block"`
+	// Block sums the block-dispatch counters of completed FAROS jobs. High
+	// hit and fast-block counts against low builds and invalidations are
+	// the signature of the fused dispatcher paying off.
+	Block vm.BlockStats `json:"block"`
 
 	LatencyCount   uint64          `json:"latency_count"`
 	LatencySum     time.Duration   `json:"latency_sum_ns"`

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -380,6 +382,26 @@ func TestTaintStatsAggregation(t *testing.T) {
 	}
 	if bs := st.Block; bs.Built == 0 || bs.Hits == 0 {
 		t.Fatalf("block counters not aggregated: %+v", bs)
+	}
+	// The /stats JSON "block" object carries exactly the five block
+	// counters under their documented keys.
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Block map[string]json.RawMessage `json:"block"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var blockKeys []string
+	for k := range doc.Block {
+		blockKeys = append(blockKeys, k)
+	}
+	sort.Strings(blockKeys)
+	if got, want := strings.Join(blockKeys, ","), "built,fused_ops,hits,invalidated,untainted_fast_blocks"; got != want {
+		t.Errorf("/stats block keys = %s, want %s", got, want)
 	}
 	if !strings.Contains(st.String(), "taint:") {
 		t.Errorf("String() missing taint line:\n%s", st.String())

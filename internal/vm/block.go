@@ -2,7 +2,7 @@
 // into cached basic blocks of micro-ops (internal/isa lowering, decode done
 // once), keyed by physical frame + offset so shared images (ntdll) are
 // lowered once system-wide. Dispatching a block costs one lookup and one
-// plugin call instead of a fetch, a decode, and an interface call per
+// engine call instead of a fetch, a decode, and an interface call per
 // instruction.
 //
 // Invalidation rides the signals that already feed the icache: every guest
@@ -12,10 +12,11 @@
 // current block at the mutating instruction and re-enters through a fresh
 // build — the same observable behavior as per-instruction stepping.
 //
-// The per-instruction Step path is retained unchanged as the reference
-// interpreter: legacy hooks, non-block plugins, quantum tails shorter than
-// the next block, and SetBlockDispatch(false) all fall back to it, and the
-// differential tests hold the two bit-identical.
+// The per-instruction Step path is retained as the fallback and the
+// reference interpreter: quantum tails shorter than the next block, PCs no
+// block can serve (unaligned, unmapped, undecodable), and
+// SetBlockDispatch(false) all run through it, and the differential tests
+// hold the two bit-identical.
 
 package vm
 
@@ -53,35 +54,45 @@ type Block struct {
 	Eff taint.BlockEffects
 }
 
-// BlockPlugin is the block-level upgrade of InstrPlugin. An engine that
-// implements it receives whole predecoded blocks and runs its analysis
-// fused into the dispatch loop instead of being called back per
-// instruction. ExecBlock executes the given block (which starts at the
+// Engine is the analysis engine attached to a machine (AttachEngine); the
+// FAROS DIFT engine is the one production implementation.
+//
+// ExecBlock receives whole predecoded blocks and runs the analysis fused
+// into the dispatch loop. It executes the given block (which starts at the
 // current EIP) and may then chain into successor blocks via LookupBlock,
-// up to budget retired instructions in total — one plugin call per chain,
+// up to budget retired instructions in total — one engine call per chain,
 // not per block. It returns the instructions retired plus the trap state
-// of the last one, exactly as a sequence of Steps would have; ok=false
-// declines the first block untouched, and the VM falls back to the
-// per-instruction reference path. Returning TrapNone with budget left
-// simply means the chain ended at a PC block dispatch cannot serve (or a
-// partial retire after self-modifying code); the VM re-enters at the new
-// EIP.
-type BlockPlugin interface {
-	InstrPlugin
-	ExecBlock(m *Machine, b *Block, budget uint64) (retired uint64, trap Trap, err error, ok bool)
+// of the last one, exactly as a sequence of Steps would have. Returning
+// TrapNone with budget left simply means the chain ended at a PC block
+// dispatch cannot serve (or a partial retire after self-modifying code);
+// the VM re-enters at the new EIP.
+//
+// BeforeInstr observes the per-instruction Step path: it fires before each
+// instruction executes, with the pre-execution register state.
+type Engine interface {
+	BeforeInstr(m *Machine, pc uint32, in isa.Instruction)
+	ExecBlock(m *Machine, b *Block, budget uint64) (retired uint64, trap Trap, err error)
 }
 
-// BlockStats counts block-cache activity.
+// BlockStats counts block-dispatch activity: the block cache plus the
+// attached engine's taint-no-op fast path. It is also the JSON form of the
+// analysis service's aggregate block counters.
 type BlockStats struct {
-	// Built counts blocks decoded and lowered.
-	Built uint64
-	// Hits counts dispatches served from the cache.
-	Hits uint64
-	// Invalidated counts frames whose cached blocks were dropped.
-	Invalidated uint64
-	// FusedOps counts superinstructions retired by the plain block
-	// executor (an attached engine counts its own executions separately).
-	FusedOps uint64
+	// Built counts basic blocks decoded and lowered to micro-ops.
+	Built uint64 `json:"built"`
+	// Hits counts block dispatches served from the cache.
+	Hits uint64 `json:"hits"`
+	// Invalidated counts frames whose cached blocks were dropped by
+	// self-modifying-code signals.
+	Invalidated uint64 `json:"invalidated"`
+	// FusedOps counts superinstructions (fused micro-ops) retired, by the
+	// plain executor and by the engine (AddFusedOps).
+	FusedOps uint64 `json:"fused_ops"`
+	// UntaintedFastBlocks counts block executions that ran start to finish
+	// on the taint-no-op dispatch loop (clean register bank, every touched
+	// page clean) without a single propagation call. The machine never
+	// sets it; the attached engine fills it in.
+	UntaintedFastBlocks uint64 `json:"untainted_fast_blocks"`
 }
 
 // blockPage holds the cached blocks of one physical frame, indexed by
@@ -108,7 +119,8 @@ var unbuildable = &Block{}
 // path.
 func (m *Machine) SetBlockDispatch(on bool) { m.blocksOff = !on }
 
-// BlockStats returns the block-cache counters.
+// BlockStats returns the block-cache counters (UntaintedFastBlocks is
+// zero: only the engine knows it).
 func (m *Machine) BlockStats() BlockStats { return m.bstats }
 
 // BlocksBuilt returns the monotone count of blocks ever built. Engines
@@ -129,55 +141,46 @@ func (m *Machine) AddFusedOps(n uint64) { m.bstats.FusedOps += n }
 
 // RunBlock executes up to budget instructions, chaining predecoded blocks
 // until the budget runs out, a trap or fault ends the run, or dispatch has
-// to fall back to per-instruction mode. Chaining is transparent to the
-// caller: a sequence of single-block calls would retire the same
-// instructions in the same order, the loop just keeps the dispatch state
-// hot instead of bouncing through the scheduler between every block. It
-// returns the instructions retired and the trap state of the last one.
-// When block dispatch cannot serve the current PC at all, it runs exactly
-// one per-instruction Step. budget must be at least 1.
+// to fall back to per-instruction mode; with an engine attached, the
+// engine runs the chain. Chaining is transparent to the caller: a sequence
+// of single-block calls would retire the same instructions in the same
+// order, the loop just keeps the dispatch state hot instead of bouncing
+// through the scheduler between every block. It returns the instructions
+// retired and the trap state of the last one. When block dispatch cannot
+// serve the current PC at all, it runs exactly one per-instruction Step.
+// budget must be at least 1.
 func (m *Machine) RunBlock(budget uint64) (uint64, Trap, error) {
 	if budget == 0 {
 		return 0, TrapNone, nil
 	}
-	if m.blocksOff || m.legacyHooks || m.space == nil ||
-		(m.plugin != nil && m.blockPlugin == nil) {
+	if m.blocksOff || m.space == nil {
 		return m.stepOnce()
 	}
-	b := m.lookupBlock(m.CPU.EIP)
+	b := m.LookupBlock(m.CPU.EIP)
 	if b == nil || uint64(b.NInstr) > budget {
 		// No block here (unaligned PC, undecodable slot, unmapped page) or
 		// the preemption budget boundary lands inside the block: fall back
 		// to per-instruction mode.
 		return m.stepOnce()
 	}
-	if bp := m.blockPlugin; bp != nil {
-		// The plugin chains internally; one call covers up to the whole
+	if e := m.engine; e != nil {
+		// The engine chains internally; one call covers up to the whole
 		// budget.
-		n, trap, err, ok := bp.ExecBlock(m, b, budget)
-		if !ok {
-			return m.stepOnce()
-		}
-		return n, trap, err
+		return e.ExecBlock(m, b, budget)
 	}
 	var total uint64
 	for {
-		n, trap, err := m.execBlockPlain(b)
+		n, trap, err := m.ExecBlockPlain(b)
 		total += n
 		budget -= n
 		if trap != TrapNone || err != nil || budget == 0 {
 			return total, trap, err
 		}
-		if b = m.lookupBlock(m.CPU.EIP); b == nil || uint64(b.NInstr) > budget {
+		if b = m.LookupBlock(m.CPU.EIP); b == nil || uint64(b.NInstr) > budget {
 			return total, TrapNone, nil
 		}
 	}
 }
-
-// LookupBlock returns the cached block starting at pc, building it on
-// first sight; nil means block dispatch cannot serve that PC. Exported for
-// chaining block plugins.
-func (m *Machine) LookupBlock(pc uint32) *Block { return m.lookupBlock(pc) }
 
 // stepOnce adapts Step to RunBlock's retired-count contract.
 func (m *Machine) stepOnce() (uint64, Trap, error) {
@@ -188,10 +191,10 @@ func (m *Machine) stepOnce() (uint64, Trap, error) {
 	return 1, trap, nil
 }
 
-// lookupBlock returns the cached block starting at pc, building it on
+// LookupBlock returns the cached block starting at pc, building it on
 // first sight. nil means "no block: use Step" (unaligned, unmapped, or
-// undecodable entry).
-func (m *Machine) lookupBlock(pc uint32) *Block {
+// undecodable entry). Chaining engines call it for successor blocks.
+func (m *Machine) LookupBlock(pc uint32) *Block {
 	if pc%isa.InstrSize != 0 {
 		return nil
 	}
@@ -276,10 +279,6 @@ func (m *Machine) buildBlock(frame, off uint32) *Block {
 // exactly: same register/flag/memory effects, same fault PCs and error
 // values, same instruction counting.
 func (m *Machine) ExecBlockPlain(b *Block) (uint64, Trap, error) {
-	return m.execBlockPlain(b)
-}
-
-func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 	regs := &m.CPU.Regs
 	base := m.CPU.EIP
 	epoch := m.blockEpoch
@@ -316,9 +315,9 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 			var v uint32
 			var err error
 			if u.Size == 4 {
-				v, _, err = m.rawRead32(addr)
+				v, _, err = m.DataRead32(addr)
 			} else {
-				v, _, err = m.rawRead8(addr)
+				v, _, err = m.DataRead8(addr)
 			}
 			if err != nil {
 				return m.blockFault(ii, pc, err)
@@ -331,9 +330,9 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 			}
 			var err error
 			if u.Size == 4 {
-				_, err = m.rawWrite32(addr, regs[u.A])
+				_, err = m.DataWrite32(addr, regs[u.A])
 			} else {
-				_, err = m.rawWrite8(addr, byte(regs[u.A]))
+				_, err = m.DataWrite8(addr, byte(regs[u.A]))
 			}
 			if err != nil {
 				return m.blockFault(ii, pc, err)
@@ -347,7 +346,7 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 				v = regs[u.A]
 			}
 			regs[isa.ESP] -= 4
-			if _, err := m.rawWrite32(regs[isa.ESP], v); err != nil {
+			if _, err := m.DataWrite32(regs[isa.ESP], v); err != nil {
 				regs[isa.ESP] += 4
 				return m.blockFault(ii, pc, err)
 			}
@@ -355,34 +354,34 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 				return m.blockCommit(ii+1, pc+isa.InstrSize, TrapNone, fusedIn(uops, ui+1))
 			}
 		case isa.UPop:
-			v, _, err := m.rawRead32(regs[isa.ESP])
+			v, _, err := m.DataRead32(regs[isa.ESP])
 			if err != nil {
 				return m.blockFault(ii, pc, err)
 			}
 			regs[isa.ESP] += 4
 			regs[u.A] = v
 		case isa.URet:
-			v, _, err := m.rawRead32(regs[isa.ESP])
+			v, _, err := m.DataRead32(regs[isa.ESP])
 			if err != nil {
 				return m.blockFault(ii, pc, err)
 			}
 			regs[isa.ESP] += 4
 			return m.blockCommit(ii+1, v, b.EndTrap, uint64(b.Fused))
 		case isa.UJmp:
-			return m.blockCommit(ii+1, uopTarget(regs, u, pc), b.EndTrap, uint64(b.Fused))
+			return m.blockCommit(ii+1, UopTarget(regs, u, pc), b.EndTrap, uint64(b.Fused))
 		case isa.UJcc:
 			// Taken: side exit. Not taken: the block continues at the
 			// fall-through instruction, which is the next micro-op.
 			if isa.CondTaken(u.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
-				return m.blockCommit(ii+1, uopTarget(regs, u, pc), TrapNone, fusedIn(uops, ui+1))
+				return m.blockCommit(ii+1, UopTarget(regs, u, pc), TrapNone, fusedIn(uops, ui+1))
 			}
 		case isa.UCall:
 			regs[isa.ESP] -= 4
-			if _, err := m.rawWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
+			if _, err := m.DataWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
 				regs[isa.ESP] += 4
 				return m.blockFault(ii, pc, err)
 			}
-			return m.blockCommit(ii+1, uopTarget(regs, u, pc), b.EndTrap, uint64(b.Fused))
+			return m.blockCommit(ii+1, UopTarget(regs, u, pc), b.EndTrap, uint64(b.Fused))
 		case isa.USyscall, isa.UHlt:
 			return m.blockCommit(ii+1, pc+isa.InstrSize, b.EndTrap, uint64(b.Fused))
 		case isa.UCmpJccRR, isa.UCmpJccRI:
@@ -394,19 +393,19 @@ func (m *Machine) execBlockPlain(b *Block) (uint64, Trap, error) {
 			z, s := a == v, int32(a) < int32(v)
 			m.CPU.Flags.Z, m.CPU.Flags.S = z, s
 			if isa.CondTaken(u.Op, z, s) {
-				return m.blockCommit(ii+2, uopTarget2(u, pc), TrapNone, fusedIn(uops, ui+1))
+				return m.blockCommit(ii+2, UopTarget2(u, pc), TrapNone, fusedIn(uops, ui+1))
 			}
 		case isa.UAluJmp:
 			regs[u.A] = isa.EvalALU(u.Op, regs[u.A], u.Imm)
-			return m.blockCommit(ii+2, uopTarget2(u, pc), b.EndTrap, uint64(b.Fused))
+			return m.blockCommit(ii+2, UopTarget2(u, pc), b.EndTrap, uint64(b.Fused))
 		case isa.UMemMoveB:
-			v, _, err := m.rawRead8(regs[u.A] + regs[u.B])
+			v, _, err := m.DataRead8(regs[u.A] + regs[u.B])
 			if err != nil {
 				return m.blockFault(ii, pc, err)
 			}
 			regs[u.Imm] = v
 			// The load retired; the store is the second instruction.
-			if _, err := m.rawWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
+			if _, err := m.DataWrite8(regs[u.C]+regs[u.D], byte(v)); err != nil {
 				return m.blockFault(ii+1, pc+isa.InstrSize, err)
 			}
 			if m.blockEpoch != epoch {
@@ -447,8 +446,9 @@ func fusedIn(uops []isa.Uop, n int) uint64 {
 	return c
 }
 
-// uopTarget resolves a single-instruction control transfer's destination.
-func uopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
+// UopTarget resolves a single-instruction control transfer's destination
+// against the given register file.
+func UopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
 	switch u.D {
 	case 1:
 		return pc + isa.InstrSize + uint32(int32(u.Imm))
@@ -458,32 +458,24 @@ func uopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
 	return u.Imm
 }
 
-// uopTarget2 resolves the branch destination of a fused compare-and-branch
+// UopTarget2 resolves the branch destination of a fused compare-and-branch
 // or ALU-and-jump micro-op (the branch is the second instruction, at
 // pc + InstrSize).
-func uopTarget2(u *isa.Uop, pc uint32) uint32 {
+func UopTarget2(u *isa.Uop, pc uint32) uint32 {
 	if u.D == 1 {
 		return pc + 2*isa.InstrSize + uint32(int32(u.Imm2))
 	}
 	return u.Imm2
 }
 
-// UopTarget resolves a control-transfer micro-op's destination against the
-// given register file; UopTarget2 is the fused-pair form. Exported for the
-// fused engine executor.
-func UopTarget(regs *[isa.NumRegs]uint32, u *isa.Uop, pc uint32) uint32 {
-	return uopTarget(regs, u, pc)
-}
-
-// UopTarget2 resolves the branch target of a fused superinstruction.
-func UopTarget2(u *isa.Uop, pc uint32) uint32 { return uopTarget2(u, pc) }
-
-// --- raw data accessors (no hooks) ---
+// --- data accessors ---
 //
-// The block executors run only when no memory hooks are registered, so
-// these skip the hook loops; the Step helpers layer hooks on top.
+// Step, the plain block executor and the engine's fused executor all load
+// and store guest data through these. Each returns the translated physical
+// address of the first byte.
 
-func (m *Machine) rawRead32(va uint32) (uint32, mem.PhysAddr, error) {
+// DataRead32 loads a word from guest data memory.
+func (m *Machine) DataRead32(va uint32) (uint32, mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 0)
 	if !ok {
 		var err error
@@ -505,7 +497,8 @@ func (m *Machine) rawRead32(va uint32) (uint32, mem.PhysAddr, error) {
 	return v, pa, nil
 }
 
-func (m *Machine) rawRead8(va uint32) (uint32, mem.PhysAddr, error) {
+// DataRead8 loads a byte, zero-extended.
+func (m *Machine) DataRead8(va uint32) (uint32, mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 0)
 	if !ok {
 		var err error
@@ -520,7 +513,9 @@ func (m *Machine) rawRead8(va uint32) (uint32, mem.PhysAddr, error) {
 	return uint32(b), pa, nil
 }
 
-func (m *Machine) rawWrite32(va, v uint32) (mem.PhysAddr, error) {
+// DataWrite32 stores a word, invalidating cached decodes and blocks for
+// the written frames.
+func (m *Machine) DataWrite32(va, v uint32) (mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 1)
 	if !ok {
 		var err error
@@ -547,7 +542,9 @@ func (m *Machine) rawWrite32(va, v uint32) (mem.PhysAddr, error) {
 	return pa, nil
 }
 
-func (m *Machine) rawWrite8(va uint32, v byte) (mem.PhysAddr, error) {
+// DataWrite8 stores a byte, invalidating cached decodes and blocks for the
+// written frame.
+func (m *Machine) DataWrite8(va uint32, v byte) (mem.PhysAddr, error) {
 	pa, ok := m.lookupPA(va, 1)
 	if !ok {
 		var err error
@@ -560,24 +557,4 @@ func (m *Machine) rawWrite8(va uint32, v byte) (mem.PhysAddr, error) {
 	}
 	m.InvalidateFrame(pa.Frame())
 	return pa, nil
-}
-
-// DataRead32 loads a word from guest data memory without firing hooks,
-// returning the translated physical address. For the fused engine.
-func (m *Machine) DataRead32(va uint32) (uint32, mem.PhysAddr, error) { return m.rawRead32(va) }
-
-// DataRead8 loads a byte (zero-extended) without firing hooks.
-func (m *Machine) DataRead8(va uint32) (uint32, mem.PhysAddr, error) { return m.rawRead8(va) }
-
-// DataWrite32 stores a word without firing hooks, invalidating cached
-// decodes and blocks for the written frames.
-func (m *Machine) DataWrite32(va, v uint32) (mem.PhysAddr, error) { return m.rawWrite32(va, v) }
-
-// DataWrite8 stores a byte without firing hooks.
-func (m *Machine) DataWrite8(va uint32, v byte) (mem.PhysAddr, error) { return m.rawWrite8(va, v) }
-
-// DataPA translates a data access through the data TLB without touching
-// memory — the fused engine's pre-store cleanliness probe.
-func (m *Machine) DataPA(va uint32, kind mem.AccessKind) (mem.PhysAddr, error) {
-	return m.dataPA(va, kind)
 }

@@ -1,11 +1,12 @@
 // Package vm implements the whole-system virtual machine: a single
-// deterministic FAROS-32 CPU executing over paged virtual memory, with a
-// plugin callback bus modeled on PANDA's.
+// deterministic FAROS-32 CPU executing over paged virtual memory.
 //
-// Analysis plugins (the FAROS DIFT engine, the Cuckoo baseline, tracers)
-// register hooks that fire before/after every instruction and on every data
-// memory access. The CPU itself knows nothing about processes or syscalls;
-// it raises traps that the guest kernel interprets.
+// Guest code runs as cached, predecoded micro-op blocks (block.go). One
+// analysis engine — the FAROS DIFT engine — may attach through the Engine
+// interface: it executes those blocks with its analysis fused in, and
+// observes the per-instruction Step fallback one instruction at a time.
+// The CPU itself knows nothing about processes or syscalls; it raises
+// traps that the guest kernel interprets.
 package vm
 
 import (
@@ -59,24 +60,8 @@ func (t Trap) String() string {
 	return "trap?"
 }
 
-// InstrHook observes an instruction about to execute (or just executed).
-// Before-hooks see the pre-execution register state, which is what the DIFT
-// engine mirrors to compute effective addresses.
-type InstrHook func(m *Machine, pc uint32, in isa.Instruction)
-
-// InstrPlugin is the method form of a before-instruction hook. An analysis
-// engine that implements it and registers via OnInstrPlugin is dispatched
-// as a single interface call per instruction — no method-value thunk —
-// which is measurably cheaper at one call per executed instruction.
-type InstrPlugin interface {
-	BeforeInstr(m *Machine, pc uint32, in isa.Instruction)
-}
-
-// MemHook observes a data memory access. pa is the translated physical
-// address of the first byte; size is 1 or 4.
-type MemHook func(m *Machine, pc uint32, in isa.Instruction, va uint32, pa mem.PhysAddr, size int)
-
-// Machine is the whole system: physical memory, one CPU, and the plugin bus.
+// Machine is the whole system: physical memory, one CPU, and the attached
+// analysis engine.
 type Machine struct {
 	// CPU is the live architectural state.
 	CPU CPU
@@ -121,20 +106,9 @@ type Machine struct {
 	bstats     BlockStats
 	// blocksOff disables block dispatch (RunBlock degenerates to Step).
 	blocksOff bool
-	// legacyHooks is set when any per-instruction/memory hook registers;
-	// block dispatch would skip those callbacks, so it turns itself off.
-	legacyHooks bool
 
-	beforeInstr []InstrHook
-	// plugin is the interface-dispatched before-instruction observer (see
-	// InstrPlugin). It fires before the beforeInstr hooks.
-	plugin InstrPlugin
-	// blockPlugin is plugin's block-level upgrade when it implements
-	// BlockPlugin.
-	blockPlugin BlockPlugin
-	afterInstr  []InstrHook
-	memRead     []MemHook
-	memWrite    []MemHook
+	// engine is the attached analysis engine, nil when none (see Engine).
+	engine Engine
 }
 
 // dataTLBEntry is one cached data translation.
@@ -147,26 +121,14 @@ type dataTLBEntry struct {
 }
 
 // lookupPA is the data-TLB hit test, call-free so it inlines into the
-// read/write helpers; on a miss the caller refills through dataPAFill.
-// slot 0 caches reads, slot 1 writes.
+// data accessors; on a miss the caller refills through dataPAFill. slot 0
+// caches reads, slot 1 writes.
 func (m *Machine) lookupPA(va uint32, slot int) (mem.PhysAddr, bool) {
 	t := &m.dtlb[slot]
 	if t.ok && t.space == m.space && t.vpn == va>>mem.PageShift && t.gen == m.space.Gen() {
 		return mem.PhysAddr(t.frame)<<mem.PageShift | mem.PhysAddr(va%mem.PageSize), true
 	}
 	return 0, false
-}
-
-// dataPA translates a data access through the data TLB.
-func (m *Machine) dataPA(va uint32, kind mem.AccessKind) (mem.PhysAddr, error) {
-	slot := 0
-	if kind == mem.AccessWrite {
-		slot = 1
-	}
-	if pa, ok := m.lookupPA(va, slot); ok {
-		return pa, nil
-	}
-	return m.dataPAFill(va, kind, &m.dtlb[slot])
 }
 
 // dataPAFill is the data-TLB miss path: translate and refill the entry.
@@ -252,54 +214,14 @@ func (m *Machine) CR3() uint32 {
 	return m.space.CR3()
 }
 
-// OnBeforeInstr registers a hook that fires before each instruction
-// executes. Per-instruction hooks pin the machine to the per-instruction
-// dispatch path.
-func (m *Machine) OnBeforeInstr(h InstrHook) {
-	m.beforeInstr = append(m.beforeInstr, h)
-	m.legacyHooks = true
-}
-
-// OnInstrPlugin registers the interface-dispatched before-instruction
-// observer. Only one may be registered; it fires before any OnBeforeInstr
-// hooks. If the plugin also implements BlockPlugin, block dispatch routes
-// whole predecoded blocks through it instead.
-func (m *Machine) OnInstrPlugin(p InstrPlugin) {
-	if m.plugin != nil {
-		panic("vm: OnInstrPlugin called twice")
+// AttachEngine attaches the analysis engine. Only one may be attached;
+// from then on block dispatch runs every block through its ExecBlock and
+// Step calls its BeforeInstr before each instruction.
+func (m *Machine) AttachEngine(e Engine) {
+	if m.engine != nil {
+		panic("vm: AttachEngine called twice")
 	}
-	m.plugin = p
-	if bp, ok := p.(BlockPlugin); ok {
-		m.blockPlugin = bp
-	}
-}
-
-// OnAfterInstr registers a hook that fires after each retired instruction.
-func (m *Machine) OnAfterInstr(h InstrHook) {
-	m.afterInstr = append(m.afterInstr, h)
-	m.legacyHooks = true
-}
-
-// OnMemRead registers a hook observing data loads.
-func (m *Machine) OnMemRead(h MemHook) {
-	m.memRead = append(m.memRead, h)
-	m.legacyHooks = true
-}
-
-// OnMemWrite registers a hook observing data stores.
-func (m *Machine) OnMemWrite(h MemHook) {
-	m.memWrite = append(m.memWrite, h)
-	m.legacyHooks = true
-}
-
-// HookCount returns the number of registered hooks; the scenario harness
-// reports it so performance runs can document their instrumentation level.
-func (m *Machine) HookCount() int {
-	n := len(m.beforeInstr) + len(m.afterInstr) + len(m.memRead) + len(m.memWrite)
-	if m.plugin != nil {
-		n++
-	}
-	return n
+	m.engine = e
 }
 
 // FetchInstr reads and decodes the instruction at va with execute
@@ -364,78 +286,6 @@ func (m *Machine) FetchInstr(va uint32) (isa.Instruction, error) {
 	return in, nil
 }
 
-// read32 loads a word, firing mem-read hooks.
-func (m *Machine) read32(pc uint32, in isa.Instruction, va uint32) (uint32, error) {
-	v, pa, err := m.rawRead32(va)
-	if err != nil {
-		return 0, err
-	}
-	for _, h := range m.memRead {
-		h(m, pc, in, va, pa, 4)
-	}
-	return v, nil
-}
-
-// read8 loads a byte, firing mem-read hooks.
-func (m *Machine) read8(pc uint32, in isa.Instruction, va uint32) (uint32, error) {
-	v, pa, err := m.rawRead8(va)
-	if err != nil {
-		return 0, err
-	}
-	for _, h := range m.memRead {
-		h(m, pc, in, va, pa, 1)
-	}
-	return v, nil
-}
-
-// write32 stores a word, firing mem-write hooks and invalidating cached
-// decodes for the written frames.
-func (m *Machine) write32(pc uint32, in isa.Instruction, va uint32, v uint32) error {
-	pa, err := m.rawWrite32(va, v)
-	if err != nil {
-		return err
-	}
-	for _, h := range m.memWrite {
-		h(m, pc, in, va, pa, 4)
-	}
-	return nil
-}
-
-// write8 stores a byte, firing mem-write hooks.
-func (m *Machine) write8(pc uint32, in isa.Instruction, va uint32, v byte) error {
-	pa, err := m.rawWrite8(va, v)
-	if err != nil {
-		return err
-	}
-	for _, h := range m.memWrite {
-		h(m, pc, in, va, pa, 1)
-	}
-	return nil
-}
-
-// EffectiveAddr computes the data address an instruction touches given the
-// current register file. It returns ok=false for instructions without a
-// memory operand. The DIFT engine uses it on the pre-execution state.
-func EffectiveAddr(cpu *CPU, in isa.Instruction) (addr uint32, ok bool) {
-	switch in.Op {
-	case isa.OpLd, isa.OpLdb:
-		if in.Mode == isa.ModeRM {
-			return cpu.Regs[in.Src] + in.Imm, true
-		}
-		return cpu.Regs[in.Src] + cpu.Regs[in.IndexReg()], true
-	case isa.OpSt, isa.OpStb:
-		if in.Mode == isa.ModeMR {
-			return cpu.Regs[in.Dst] + in.Imm, true
-		}
-		return cpu.Regs[in.Dst] + cpu.Regs[in.IndexReg()], true
-	case isa.OpPush, isa.OpCall:
-		return cpu.Regs[isa.ESP] - 4, true
-	case isa.OpPop, isa.OpRet:
-		return cpu.Regs[isa.ESP], true
-	}
-	return 0, false
-}
-
 // FaultError is the typed error carried by every TrapFault return from
 // Step. It records the faulting PC so kernels can build structured guest
 // exceptions instead of treating the fault as an opaque run failure.
@@ -479,11 +329,8 @@ func (m *Machine) Step() (Trap, error) {
 			return fault(pc, fmt.Errorf("vm: fetch at 0x%08X: %w", pc, err))
 		}
 	}
-	if p := m.plugin; p != nil {
-		p.BeforeInstr(m, pc, in)
-	}
-	for _, h := range m.beforeInstr {
-		h(m, pc, in)
+	if e := m.engine; e != nil {
+		e.BeforeInstr(m, pc, in)
 	}
 
 	next := pc + isa.InstrSize
@@ -503,17 +350,17 @@ func (m *Machine) Step() (Trap, error) {
 			regs[in.Dst] = in.Imm
 		}
 	case isa.OpLd, isa.OpLdb:
-		// EffectiveAddr inlined; the &7 masks are free (Decode validated the
-		// registers) and let the compiler elide the bounds checks.
+		// The &7 masks are free (Decode validated the registers) and let
+		// the compiler elide the bounds checks.
 		addr := regs[in.Src&7] + in.Imm
 		if in.Mode == isa.ModeRX {
 			addr = regs[in.Src&7] + regs[in.Imm&7]
 		}
 		var v uint32
 		if in.Op == isa.OpLd {
-			v, err = m.read32(pc, in, addr)
+			v, _, err = m.DataRead32(addr)
 		} else {
-			v, err = m.read8(pc, in, addr)
+			v, _, err = m.DataRead8(addr)
 		}
 		if err != nil {
 			return fault(pc, err)
@@ -525,9 +372,9 @@ func (m *Machine) Step() (Trap, error) {
 			addr = regs[in.Dst&7] + regs[in.Imm&7]
 		}
 		if in.Op == isa.OpSt {
-			err = m.write32(pc, in, addr, regs[in.Src])
+			_, err = m.DataWrite32(addr, regs[in.Src])
 		} else {
-			err = m.write8(pc, in, addr, byte(regs[in.Src]))
+			_, err = m.DataWrite8(addr, byte(regs[in.Src]))
 		}
 		if err != nil {
 			return fault(pc, err)
@@ -537,7 +384,7 @@ func (m *Machine) Step() (Trap, error) {
 		if in.Mode == isa.ModeRR {
 			src = regs[in.Src]
 		}
-		regs[in.Dst] = alu(in.Op, regs[in.Dst], src)
+		regs[in.Dst] = isa.EvalALU(in.Op, regs[in.Dst], src)
 	case isa.OpNot:
 		regs[in.Dst] = ^regs[in.Dst]
 	case isa.OpCmp:
@@ -551,18 +398,18 @@ func (m *Machine) Step() (Trap, error) {
 	case isa.OpJmp:
 		next = m.jumpTarget(pc, in)
 	case isa.OpJz, isa.OpJnz, isa.OpJl, isa.OpJg, isa.OpJle, isa.OpJge:
-		if m.condTaken(in.Op) {
+		if isa.CondTaken(in.Op, m.CPU.Flags.Z, m.CPU.Flags.S) {
 			next = m.jumpTarget(pc, in)
 		}
 	case isa.OpCall:
 		regs[isa.ESP] -= 4
-		if err := m.write32(pc, in, regs[isa.ESP], pc+isa.InstrSize); err != nil {
+		if _, err := m.DataWrite32(regs[isa.ESP], pc+isa.InstrSize); err != nil {
 			regs[isa.ESP] += 4
 			return fault(pc, err)
 		}
 		next = m.jumpTarget(pc, in)
 	case isa.OpRet:
-		v, err := m.read32(pc, in, regs[isa.ESP])
+		v, _, err := m.DataRead32(regs[isa.ESP])
 		if err != nil {
 			return fault(pc, err)
 		}
@@ -574,12 +421,12 @@ func (m *Machine) Step() (Trap, error) {
 			v = regs[in.Dst]
 		}
 		regs[isa.ESP] -= 4
-		if err := m.write32(pc, in, regs[isa.ESP], v); err != nil {
+		if _, err := m.DataWrite32(regs[isa.ESP], v); err != nil {
 			regs[isa.ESP] += 4
 			return fault(pc, err)
 		}
 	case isa.OpPop:
-		v, err := m.read32(pc, in, regs[isa.ESP])
+		v, _, err := m.DataRead32(regs[isa.ESP])
 		if err != nil {
 			return fault(pc, err)
 		}
@@ -591,15 +438,8 @@ func (m *Machine) Step() (Trap, error) {
 
 	m.CPU.EIP = next
 	m.InstrCount++
-	for _, h := range m.afterInstr {
-		h(m, pc, in)
-	}
 	return trap, nil
 }
-
-// alu evaluates a two-operand ALU operation (shared with the block
-// executors via isa so the semantics cannot drift).
-func alu(op isa.Op, a, b uint32) uint32 { return isa.EvalALU(op, a, b) }
 
 // jumpTarget resolves the destination of a jump/call.
 func (m *Machine) jumpTarget(pc uint32, in isa.Instruction) uint32 {
@@ -612,11 +452,6 @@ func (m *Machine) jumpTarget(pc uint32, in isa.Instruction) uint32 {
 		return m.CPU.Regs[in.Dst]
 	}
 	return pc + isa.InstrSize
-}
-
-// condTaken evaluates a conditional branch against the flags.
-func (m *Machine) condTaken(op isa.Op) bool {
-	return isa.CondTaken(op, m.CPU.Flags.Z, m.CPU.Flags.S)
 }
 
 // Run executes up to maxSteps instructions or until a non-none trap.

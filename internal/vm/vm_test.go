@@ -337,67 +337,6 @@ func TestFaultOnUnmapped(t *testing.T) {
 	}
 }
 
-func TestHooksFire(t *testing.T) {
-	b := isa.NewBlock()
-	b.Movi(isa.EBX, dataBase)
-	b.Movi(isa.EAX, 5)
-	b.St(isa.EBX, 0, isa.EAX)
-	b.Ld(isa.ECX, isa.EBX, 0)
-	b.Hlt()
-	m := newTestMachine(t, b)
-	var before, after, reads, writes int
-	var writePA mem.PhysAddr
-	m.OnBeforeInstr(func(_ *Machine, _ uint32, _ isa.Instruction) { before++ })
-	m.OnAfterInstr(func(_ *Machine, _ uint32, _ isa.Instruction) { after++ })
-	m.OnMemRead(func(_ *Machine, _ uint32, _ isa.Instruction, _ uint32, _ mem.PhysAddr, _ int) { reads++ })
-	m.OnMemWrite(func(_ *Machine, _ uint32, in isa.Instruction, va uint32, pa mem.PhysAddr, size int) {
-		writes++
-		writePA = pa
-		if va != dataBase || size != 4 || in.Op != isa.OpSt {
-			t.Errorf("write hook: va=%#x size=%d op=%v", va, size, in.Op)
-		}
-	})
-	runToHalt(t, m, 10)
-	if before != 5 || after != 5 {
-		t.Errorf("instr hooks: before=%d after=%d", before, after)
-	}
-	if reads != 1 || writes != 1 {
-		t.Errorf("mem hooks: reads=%d writes=%d", reads, writes)
-	}
-	wantPA, _ := m.Space().Translate(dataBase, mem.AccessRead)
-	if writePA != wantPA {
-		t.Errorf("write pa = %#x, want %#x", writePA, wantPA)
-	}
-	if m.HookCount() != 4 {
-		t.Errorf("HookCount = %d", m.HookCount())
-	}
-}
-
-func TestEffectiveAddr(t *testing.T) {
-	cpu := &CPU{}
-	cpu.Regs[isa.EBX] = 0x1000
-	cpu.Regs[isa.ECX] = 0x20
-	cpu.Regs[isa.ESP] = 0x8000
-	tests := []struct {
-		in   isa.Instruction
-		want uint32
-		ok   bool
-	}{
-		{isa.Instruction{Op: isa.OpLd, Mode: isa.ModeRM, Dst: isa.EAX, Src: isa.EBX, Imm: 8}, 0x1008, true},
-		{isa.Instruction{Op: isa.OpLd, Mode: isa.ModeRX, Dst: isa.EAX, Src: isa.EBX, Imm: uint32(isa.ECX)}, 0x1020, true},
-		{isa.Instruction{Op: isa.OpSt, Mode: isa.ModeMR, Dst: isa.EBX, Src: isa.EAX, Imm: 4}, 0x1004, true},
-		{isa.Instruction{Op: isa.OpPush, Mode: isa.ModeRR, Dst: isa.EAX}, 0x7FFC, true},
-		{isa.Instruction{Op: isa.OpPop, Mode: isa.ModeRR, Dst: isa.EAX}, 0x8000, true},
-		{isa.Instruction{Op: isa.OpMov, Mode: isa.ModeRR, Dst: isa.EAX, Src: isa.EBX}, 0, false},
-	}
-	for _, tc := range tests {
-		got, ok := EffectiveAddr(cpu, tc.in)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("EffectiveAddr(%v) = %#x,%v want %#x,%v", tc.in, got, ok, tc.want, tc.ok)
-		}
-	}
-}
-
 func TestInstrCountAdvances(t *testing.T) {
 	b := isa.NewBlock()
 	b.Nop().Nop().Nop().Hlt()
