@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -38,33 +39,6 @@ func (h *histogram) observe(seconds float64) {
 		}
 	}
 	h.counts[len(latencyBuckets)]++
-}
-
-// counters is the mutable metric state, guarded by metrics.mu.
-type counters struct {
-	submitted            uint64
-	coalesced            uint64
-	done                 uint64
-	failed               uint64
-	deadlines            uint64
-	canceled             uint64
-	queueFull            uint64
-	admissionShed        uint64
-	admissionRateLimited uint64
-	cacheHits            uint64
-	cacheMisses          uint64
-	cacheExpired         uint64
-	cacheSkippedDegraded uint64
-	instructions         uint64
-	findings             map[string]uint64
-	triageFindings       map[string]uint64 // findings scored, by risk
-	triageResults        map[string]uint64 // results scored, by aggregate risk
-	lat                  *histogram
-	taint                TaintStats
-	prov                 ProvStats
-	trace                TraceStats
-	block                vm.BlockStats
-	cluster              ClusterStats
 }
 
 // ClusterStats counts the cross-node surface: requests received from
@@ -117,23 +91,36 @@ type TraceStats struct {
 	DigestMismatch uint64 `json:"digest_mismatch"`
 }
 
+// metrics is the pool's metric state: the counter fields of one Stats
+// value plus the latency histogram, both guarded by mu. Gauge fields of
+// the Stats value stay zero here; Pool.Stats fills them on the snapshot.
 type metrics struct {
-	mu sync.Mutex
-	c  counters
+	mu  sync.Mutex
+	s   Stats
+	lat *histogram
 }
 
 func newMetrics() *metrics {
-	return &metrics{c: counters{
-		findings:       make(map[string]uint64),
-		triageFindings: make(map[string]uint64),
-		triageResults:  make(map[string]uint64),
-		lat:            newHistogram(),
-	}}
+	return &metrics{
+		s: Stats{
+			FindingsByRule: make(map[string]uint64),
+			FindingsByRisk: make(map[string]uint64),
+			ResultsByRisk:  make(map[string]uint64),
+		},
+		lat: newHistogram(),
+	}
 }
 
-func (m *metrics) add(f func(*counters)) {
+func (m *metrics) add(f func(*Stats)) {
 	m.mu.Lock()
-	f(&m.c)
+	f(&m.s)
+	m.mu.Unlock()
+}
+
+// observe records one completed job's wall time.
+func (m *metrics) observe(d time.Duration) {
+	m.mu.Lock()
+	m.lat.observe(d.Seconds())
 	m.mu.Unlock()
 }
 
@@ -144,34 +131,11 @@ type LatencyBucket struct {
 	Count uint64
 }
 
-// snapshotGauges carries point-in-time gauge values into a snapshot.
-type snapshotGauges struct {
-	workers          int
-	queueDepth       int
-	running          int
-	cacheEntries     int
-	jobsActive       int
-	jobsRetained     int
-	waitersCoalesced int
-	storeEnabled     bool
-	store            store.Stats
-	traceEnabled     bool
-	traces           store.Stats
-	triageEnabled    bool
-	triagePolicy     string
-	clusterEnabled   bool
-	clusterNode      string
-	clusterPeers     []PeerHealth
-	eventsPublished  uint64
-	eventsDropped    uint64
-	eventSubscribers int
-	ledgerJobs       int
-	ledgerEvicted    uint64
-}
-
 // Stats is an immutable snapshot of the pool's observable state. Both the
 // CLI (farosbench progress, farosd logs) and the HTTP layer (/metrics,
-// /stats) render this one type.
+// /stats) render this one type. Its counter fields are also the pool's
+// live metric state (metrics.s), so a new counter is one field here plus
+// its lines in Prometheus and, when it belongs in the summary, String.
 type Stats struct {
 	Workers      int `json:"workers"`
 	QueueDepth   int `json:"queue_depth"`
@@ -262,75 +226,23 @@ type Stats struct {
 	LatencyBuckets []LatencyBucket `json:"-"`
 }
 
-func (m *metrics) snapshot(g snapshotGauges) Stats {
+// snapshot copies the counters, with maps and latency histogram of their
+// own, into a Stats value the caller owns.
+func (m *metrics) snapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Stats{
-		Workers:              g.workers,
-		QueueDepth:           g.queueDepth,
-		Running:              g.running,
-		CacheEntries:         g.cacheEntries,
-		JobsActive:           g.jobsActive,
-		JobsRetained:         g.jobsRetained,
-		WaitersCoalesced:     g.waitersCoalesced,
-		JobsSubmitted:        m.c.submitted,
-		JobsCoalesced:        m.c.coalesced,
-		JobsDone:             m.c.done,
-		JobsFailed:           m.c.failed,
-		JobsDeadline:         m.c.deadlines,
-		JobsCanceled:         m.c.canceled,
-		QueueFull:            m.c.queueFull,
-		AdmissionShed:        m.c.admissionShed,
-		AdmissionRateLimited: m.c.admissionRateLimited,
-		StoreEnabled:         g.storeEnabled,
-		Store:                g.store,
-		TraceStoreEnabled:    g.traceEnabled,
-		TraceStore:           g.traces,
-		Trace:                m.c.trace,
-		TriageEnabled:        g.triageEnabled,
-		TriagePolicy:         g.triagePolicy,
-		ClusterEnabled:       g.clusterEnabled,
-		ClusterNode:          g.clusterNode,
-		ClusterPeers:         g.clusterPeers,
-		Cluster:              m.c.cluster,
-		EventsPublished:      g.eventsPublished,
-		EventsDropped:        g.eventsDropped,
-		EventSubscribers:     g.eventSubscribers,
-		LedgerJobs:           g.ledgerJobs,
-		LedgerEvicted:        g.ledgerEvicted,
-		CacheHits:            m.c.cacheHits,
-		CacheMisses:          m.c.cacheMisses,
-		CacheExpired:         m.c.cacheExpired,
-		CacheSkippedDegraded: m.c.cacheSkippedDegraded,
-		Instructions:         m.c.instructions,
-		FindingsByRule:       make(map[string]uint64, len(m.c.findings)),
-		Taint:                m.c.taint,
-		Prov:                 m.c.prov,
-		Block:                m.c.block,
-		LatencyCount:         m.c.lat.n,
-		LatencySum:           time.Duration(m.c.lat.sum * float64(time.Second)),
-	}
-	for rule, n := range m.c.findings {
-		s.FindingsByRule[rule] = n
-	}
-	if len(m.c.triageFindings) > 0 {
-		s.FindingsByRisk = make(map[string]uint64, len(m.c.triageFindings))
-		for risk, n := range m.c.triageFindings {
-			s.FindingsByRisk[risk] = n
-		}
-	}
-	if len(m.c.triageResults) > 0 {
-		s.ResultsByRisk = make(map[string]uint64, len(m.c.triageResults))
-		for risk, n := range m.c.triageResults {
-			s.ResultsByRisk[risk] = n
-		}
-	}
+	s := m.s
+	s.FindingsByRule = maps.Clone(m.s.FindingsByRule)
+	s.FindingsByRisk = maps.Clone(m.s.FindingsByRisk)
+	s.ResultsByRisk = maps.Clone(m.s.ResultsByRisk)
+	s.LatencyCount = m.lat.n
+	s.LatencySum = time.Duration(m.lat.sum * float64(time.Second))
 	cum := uint64(0)
 	for i, le := range latencyBuckets {
-		cum += m.c.lat.counts[i]
+		cum += m.lat.counts[i]
 		s.LatencyBuckets = append(s.LatencyBuckets, LatencyBucket{LE: le, Count: cum})
 	}
-	cum += m.c.lat.counts[len(latencyBuckets)]
+	cum += m.lat.counts[len(latencyBuckets)]
 	s.LatencyBuckets = append(s.LatencyBuckets, LatencyBucket{LE: math.Inf(1), Count: cum})
 	return s
 }
@@ -345,13 +257,7 @@ func rate(hits, total uint64) float64 {
 
 // CacheHitRate is hits / (hits + misses), 0 when no cacheable submissions
 // have been seen.
-func (s Stats) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
+func (s Stats) CacheHitRate() float64 { return rate(s.CacheHits, s.CacheHits+s.CacheMisses) }
 
 // String renders a compact human-readable report (the CLI surface).
 func (s Stats) String() string {

@@ -502,7 +502,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	}
 	if key != "" {
 		if res, ok := p.lookupCacheLocked(key); ok {
-			p.metrics.add(func(m *counters) { m.cacheHits++ })
+			p.metrics.add(func(m *Stats) { m.CacheHits++ })
 			return p.cacheHitJobLocked(req, key, res), nil
 		}
 		if r, ok := p.inflight[key]; ok && !r.canceled {
@@ -514,7 +514,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 				job.started = r.started
 			}
 			p.jobs[job.ID] = job
-			p.metrics.add(func(m *counters) { m.coalesced++ })
+			p.metrics.add(func(m *Stats) { m.JobsCoalesced++ })
 			p.emit(triage.Event{Type: triage.EventCoalesced, Job: job.ID,
 				Scenario: job.Scenario, Hash: job.Hash})
 			return job, nil
@@ -532,7 +532,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	select {
 	case p.queue <- r:
 	default:
-		p.metrics.add(func(m *counters) { m.queueFull++ })
+		p.metrics.add(func(m *Stats) { m.QueueFull++ })
 		return nil, ErrQueueFull
 	}
 	p.jobs[job.ID] = job
@@ -540,9 +540,9 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 		p.inflight[key] = r
 		// Counted only after successful enqueue: an ErrQueueFull
 		// rejection is back-pressure, not a cache miss.
-		p.metrics.add(func(m *counters) { m.cacheMisses++ })
+		p.metrics.add(func(m *Stats) { m.CacheMisses++ })
 	}
-	p.metrics.add(func(m *counters) { m.submitted++ })
+	p.metrics.add(func(m *Stats) { m.JobsSubmitted++ })
 	p.emit(triage.Event{Type: triage.EventSubmitted, Job: job.ID,
 		Scenario: job.Scenario, Hash: job.Hash})
 	return job, nil
@@ -624,7 +624,7 @@ func (p *Pool) CachedJob(req Request) (*Job, bool) {
 		return nil, false
 	}
 	if res, ok := p.lookupCacheLocked(key); ok {
-		p.metrics.add(func(m *counters) { m.cacheHits++ })
+		p.metrics.add(func(m *Stats) { m.CacheHits++ })
 		return p.cacheHitJobLocked(req, key, res), true
 	}
 	if res, ok := p.storeLookupLocked(key); ok {
@@ -639,15 +639,6 @@ func (p *Pool) QueueSaturation() float64 {
 	return float64(len(p.queue)) / float64(cap(p.queue))
 }
 
-// StoreStats returns the persistent store's counters; ok=false when no
-// store is configured.
-func (p *Pool) StoreStats() (store.Stats, bool) {
-	if p.cfg.Store == nil {
-		return store.Stats{}, false
-	}
-	return p.cfg.Store.Stats(), true
-}
-
 // StoreErr returns the persistent store's last write failure (nil when
 // healthy or no store is configured) — the readiness surface.
 func (p *Pool) StoreErr() error {
@@ -660,31 +651,6 @@ func (p *Pool) StoreErr() error {
 // Traces returns the configured trace store (nil when trace analysis is
 // disabled). The HTTP layer serves the /traces endpoints through it.
 func (p *Pool) Traces() *trace.Store { return p.cfg.Traces }
-
-// Cluster returns the configured cluster forwarder (nil in single-node
-// operation).
-func (p *Pool) Cluster() Forwarder { return p.cfg.Cluster }
-
-// NodeID returns this node's cluster identity ("" single-node).
-func (p *Pool) NodeID() string { return p.cfg.NodeID }
-
-// NoteForwardedIn records a request received from a peer (it carried the
-// hop-guard header).
-func (p *Pool) NoteForwardedIn() {
-	p.metrics.add(func(m *counters) { m.cluster.ForwardedIn++ })
-}
-
-// NoteForwardedOut records a request this node forwarded to its owning
-// peer and got an answer for.
-func (p *Pool) NoteForwardedOut() {
-	p.metrics.add(func(m *counters) { m.cluster.ForwardedOut++ })
-}
-
-// NoteOwnerDownLocal records a request whose owner was down (or failed
-// mid-forward) and which degraded to local execution instead.
-func (p *Pool) NoteOwnerDownLocal() {
-	p.metrics.add(func(m *counters) { m.cluster.OwnerDownLocalRuns++ })
-}
 
 // Backfill inserts a peer-produced result into the local memory cache
 // and persistent store under its own cache key, so the next identical
@@ -711,23 +677,11 @@ func (p *Pool) Backfill(res *Result) bool {
 	}
 	p.storeLocked(res.Hash, res, exp)
 	p.mu.Unlock()
-	p.metrics.add(func(m *counters) { m.cluster.Backfills++ })
+	p.metrics.add(func(m *Stats) { m.Cluster.Backfills++ })
 	if p.cfg.Store != nil {
 		p.persist(res)
 	}
 	return true
-}
-
-// NoteTraceIngested records a successful trace upload (new store entry)
-// of n encoded bytes.
-func (p *Pool) NoteTraceIngested(n int) {
-	p.metrics.add(func(m *counters) { m.trace.Ingested++; m.trace.Bytes += uint64(n) })
-}
-
-// NoteTraceMismatch records a trace submission rejected because its spec
-// hash or memory-image digest did not match the job.
-func (p *Pool) NoteTraceMismatch() {
-	p.metrics.add(func(m *counters) { m.trace.DigestMismatch++ })
 }
 
 // emit publishes one lifecycle event to the live stream and, when it is
@@ -750,14 +704,10 @@ func (p *Pool) Subscribe(buf int) *triage.Subscriber { return p.hub.Subscribe(bu
 // ok=false when the job was never ledgered or its timeline was evicted.
 func (p *Pool) JobEvents(id string) ([]triage.Event, bool) { return p.ledger.Job(id) }
 
-// TriagePolicy returns the active risk policy (nil when triage is
-// disabled).
-func (p *Pool) TriagePolicy() *triage.Policy { return p.cfg.Triage }
-
 // NoteShed records a queue-saturation rejection on the metrics and event
 // surfaces (stream-only: no job exists to ledger under).
 func (p *Pool) NoteShed(scenario string) {
-	p.metrics.add(func(m *counters) { m.admissionShed++ })
+	p.metrics.add(func(m *Stats) { m.AdmissionShed++ })
 	p.emit(triage.Event{Type: triage.EventShed, Scenario: scenario,
 		Detail: "queue saturated; serving cached results only"})
 }
@@ -765,7 +715,7 @@ func (p *Pool) NoteShed(scenario string) {
 // NoteRateLimited records a per-client rate-limit rejection on the
 // metrics and event surfaces (stream-only).
 func (p *Pool) NoteRateLimited() {
-	p.metrics.add(func(m *counters) { m.admissionRateLimited++ })
+	p.metrics.add(func(m *Stats) { m.AdmissionRateLimited++ })
 	p.emit(triage.Event{Type: triage.EventRateLimited, Detail: "per-client rate limit exceeded"})
 }
 
@@ -863,7 +813,7 @@ func (p *Pool) runJob(r *run) {
 		return p.cfg.Runner(ctx, req)
 	}()
 	if req.Mode == ModeTrace {
-		p.metrics.add(func(m *counters) { m.trace.Replays++ })
+		p.metrics.add(func(m *Stats) { m.Trace.Replays++ })
 	}
 
 	p.mu.Lock()
@@ -907,34 +857,34 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 		result := buildResult(r, res)
 		p.scoreResult(result)
 		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) {
-			m.done += uint64(waiters)
-			m.instructions += result.Instructions
+		p.metrics.add(func(m *Stats) {
+			m.JobsDone += uint64(waiters)
+			m.Instructions += result.Instructions
 			for _, f := range result.Findings {
-				m.findings[f.Rule]++
+				m.FindingsByRule[f.Rule]++
 			}
 			if res != nil && res.Faros != nil {
 				ts := res.Faros.Stats()
-				m.taint.Prepends += ts.Taint.Prepends
-				m.taint.PrependMemoHits += ts.Taint.PrependMemoHits
-				m.taint.Unions += ts.Taint.Unions
-				m.taint.UnionMemoHits += ts.Taint.UnionMemoHits
-				m.taint.ShadowWrites += ts.Taint.ShadowWrites
-				m.taint.RangeFastSkips += ts.Taint.RangeFastSkips
-				m.taint.InstrProvHits += ts.InstrProvHits
-				m.taint.TaintedBytes += uint64(ts.Taint.TaintedBytes)
-				m.taint.TaintedPages += uint64(ts.Taint.TaintedPages)
-				m.prov.Builds += ts.ProvGraphBuilds
-				m.prov.Nodes += ts.ProvGraphNodes
-				m.prov.Edges += ts.ProvGraphEdges
-				m.block.Built += ts.Block.Built
-				m.block.Hits += ts.Block.Hits
-				m.block.Invalidated += ts.Block.Invalidated
-				m.block.FusedOps += ts.Block.FusedOps
-				m.block.UntaintedFastBlocks += ts.Block.UntaintedFastBlocks
+				m.Taint.Prepends += ts.Taint.Prepends
+				m.Taint.PrependMemoHits += ts.Taint.PrependMemoHits
+				m.Taint.Unions += ts.Taint.Unions
+				m.Taint.UnionMemoHits += ts.Taint.UnionMemoHits
+				m.Taint.ShadowWrites += ts.Taint.ShadowWrites
+				m.Taint.RangeFastSkips += ts.Taint.RangeFastSkips
+				m.Taint.InstrProvHits += ts.InstrProvHits
+				m.Taint.TaintedBytes += uint64(ts.Taint.TaintedBytes)
+				m.Taint.TaintedPages += uint64(ts.Taint.TaintedPages)
+				m.Prov.Builds += ts.ProvGraphBuilds
+				m.Prov.Nodes += ts.ProvGraphNodes
+				m.Prov.Edges += ts.ProvGraphEdges
+				m.Block.Built += ts.Block.Built
+				m.Block.Hits += ts.Block.Hits
+				m.Block.Invalidated += ts.Block.Invalidated
+				m.Block.FusedOps += ts.Block.FusedOps
+				m.Block.UntaintedFastBlocks += ts.Block.UntaintedFastBlocks
 			}
-			m.lat.observe(wall.Seconds())
 		})
+		p.metrics.observe(wall)
 		if r.key != "" && p.cfg.CacheCap >= 0 {
 			switch {
 			case result.Degraded == "":
@@ -952,7 +902,7 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 				// A degraded result is a partial failure, not a
 				// deterministic outcome — serving it from cache would
 				// poison every future identical submission.
-				p.metrics.add(func(m *counters) { m.cacheSkippedDegraded++ })
+				p.metrics.add(func(m *Stats) { m.CacheSkippedDegraded++ })
 			}
 		}
 		for _, w := range r.waiters {
@@ -969,19 +919,19 @@ func (p *Pool) finishRunLocked(r *run, res *scenario.Result, err error) (persist
 		}
 	case errors.As(err, &de):
 		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) { m.deadlines++; m.failed += uint64(waiters) })
+		p.metrics.add(func(m *Stats) { m.JobsDeadline++; m.JobsFailed += uint64(waiters) })
 		for _, w := range r.waiters {
 			p.settleLocked(w, StateFailed, nil, err, now)
 		}
 	case errors.Is(err, context.Canceled):
 		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) { m.canceled += uint64(waiters) })
+		p.metrics.add(func(m *Stats) { m.JobsCanceled += uint64(waiters) })
 		for _, w := range r.waiters {
 			p.settleLocked(w, StateCanceled, nil, err, now)
 		}
 	default:
 		waiters := len(r.waiters)
-		p.metrics.add(func(m *counters) { m.failed += uint64(waiters) })
+		p.metrics.add(func(m *Stats) { m.JobsFailed += uint64(waiters) })
 		for _, w := range r.waiters {
 			p.settleLocked(w, StateFailed, nil, err, now)
 		}
@@ -1046,11 +996,11 @@ func (p *Pool) scoreResult(result *Result) {
 	agg := triage.Aggregate(scores...)
 	result.Risk = agg.String()
 	result.RiskPolicy = pol.Hash()
-	p.metrics.add(func(m *counters) {
+	p.metrics.add(func(m *Stats) {
 		for _, s := range scores {
-			m.triageFindings[s.String()]++
+			m.FindingsByRisk[s.String()]++
 		}
-		m.triageResults[agg.String()]++
+		m.ResultsByRisk[agg.String()]++
 	})
 }
 
@@ -1142,7 +1092,7 @@ func (p *Pool) lookupCacheLocked(key string) (*Result, bool) {
 	if !e.expires.IsZero() && time.Now().After(e.expires) {
 		p.cacheList.Remove(e.elem)
 		delete(p.cache, key)
-		p.metrics.add(func(m *counters) { m.cacheExpired++ })
+		p.metrics.add(func(m *Stats) { m.CacheExpired++ })
 		return nil, false
 	}
 	if p.cfg.CacheLRU {
@@ -1190,7 +1140,7 @@ func (p *Pool) Cancel(id string) bool {
 	r := job.run
 	r.detach(job)
 	p.settleLocked(job, StateCanceled, nil, context.Canceled, time.Now())
-	p.metrics.add(func(m *counters) { m.canceled++ })
+	p.metrics.add(func(m *Stats) { m.JobsCanceled++ })
 	if len(r.waiters) == 0 {
 		r.canceled = true
 		if r.key != "" && p.inflight[r.key] == r {
@@ -1326,35 +1276,34 @@ func (p *Pool) Stats() Stats {
 		}
 	}
 	p.mu.Unlock()
-	g := snapshotGauges{
-		workers:          p.cfg.Workers,
-		queueDepth:       queued,
-		running:          int(p.running.Load()),
-		cacheEntries:     cacheEntries,
-		jobsActive:       active,
-		jobsRetained:     retained,
-		waitersCoalesced: coalescedWaiters,
-	}
+	s := p.metrics.snapshot()
+	s.Workers = p.cfg.Workers
+	s.QueueDepth = queued
+	s.Running = int(p.running.Load())
+	s.CacheEntries = cacheEntries
+	s.JobsActive = active
+	s.JobsRetained = retained
+	s.WaitersCoalesced = coalescedWaiters
 	if p.cfg.Store != nil {
-		g.storeEnabled = true
-		g.store = p.cfg.Store.Stats()
+		s.StoreEnabled = true
+		s.Store = p.cfg.Store.Stats()
 	}
 	if p.cfg.Traces != nil {
-		g.traceEnabled = true
-		g.traces = p.cfg.Traces.Stats()
+		s.TraceStoreEnabled = true
+		s.TraceStore = p.cfg.Traces.Stats()
 	}
 	if p.cfg.Triage != nil {
-		g.triageEnabled = true
-		g.triagePolicy = p.cfg.Triage.Hash()
+		s.TriageEnabled = true
+		s.TriagePolicy = p.cfg.Triage.Hash()
 	}
 	if p.cfg.Cluster != nil {
-		g.clusterEnabled = true
-		g.clusterNode = p.cfg.Cluster.NodeID()
-		g.clusterPeers = p.cfg.Cluster.PeerHealth()
+		s.ClusterEnabled = true
+		s.ClusterNode = p.cfg.Cluster.NodeID()
+		s.ClusterPeers = p.cfg.Cluster.PeerHealth()
 	}
-	g.eventsPublished, g.eventsDropped, g.eventSubscribers = p.hub.Stats()
-	g.ledgerJobs, g.ledgerEvicted = p.ledger.Stats()
-	return p.metrics.snapshot(g)
+	s.EventsPublished, s.EventsDropped, s.EventSubscribers = p.hub.Stats()
+	s.LedgerJobs, s.LedgerEvicted = p.ledger.Stats()
+	return s
 }
 
 // Close stops accepting work, cancels anything still running, settles
@@ -1371,7 +1320,7 @@ func (p *Pool) Close() {
 		r := job.run
 		r.detach(job)
 		p.settleLocked(job, StateCanceled, nil, context.Canceled, now)
-		p.metrics.add(func(m *counters) { m.canceled++ })
+		p.metrics.add(func(m *Stats) { m.JobsCanceled++ })
 		if len(r.waiters) == 0 {
 			r.canceled = true
 			if r.key != "" && p.inflight[r.key] == r {
