@@ -322,6 +322,22 @@ func (hr *hashReader) readFull(p []byte, hashed bool) error {
 	return nil
 }
 
+// readN reads exactly n hashed bytes. The buffer grows only as bytes
+// arrive, so a length prefix cannot reserve memory the input does not
+// back.
+func (hr *hashReader) readN(n uint64) ([]byte, error) {
+	buf, err := io.ReadAll(io.LimitReader(hr.r, int64(n)))
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(buf)) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	hr.h.Write(buf)
+	hr.all.Write(buf)
+	return buf, nil
+}
+
 func (hr *hashReader) readByte(hashed bool) (byte, error) {
 	var b [1]byte
 	if err := hr.readFull(b[:], hashed); err != nil {
@@ -387,8 +403,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		if n > limit {
 			return nil, &CorruptError{Reason: fmt.Sprintf("%s length %d exceeds limit %d", what, n, limit)}
 		}
-		buf := make([]byte, n)
-		if err := hr.readFull(buf, true); err != nil {
+		buf, err := hr.readN(n)
+		if err != nil {
 			return nil, &CorruptError{Reason: "short read on " + what + ": " + err.Error()}
 		}
 		return buf, nil
@@ -455,8 +471,8 @@ func (r *Reader) Next() (record.Event, error) {
 		if n > maxEventBytes {
 			return record.Event{}, &CorruptError{Reason: fmt.Sprintf("chunk length %d exceeds limit", n)}
 		}
-		comp := make([]byte, n)
-		if err := r.hr.readFull(comp, true); err != nil {
+		comp, err := r.hr.readN(n)
+		if err != nil {
 			return record.Event{}, &CorruptError{Reason: "short read on chunk: " + err.Error()}
 		}
 		fr := flate.NewReader(bytes.NewReader(comp))
@@ -571,10 +587,9 @@ func Decode(r io.Reader) (Meta, *record.Log, error) {
 	if err != nil {
 		return Meta{}, nil, err
 	}
+	// No preallocation from the declared event count: the header is
+	// untrusted input, and a small body may declare 2^40 events.
 	log := &record.Log{Scenario: tr.meta.Scenario, FinalInstr: tr.meta.FinalInstr}
-	if tr.meta.Events > 0 {
-		log.Events = make([]record.Event, 0, min(tr.meta.Events, 1<<20))
-	}
 	for {
 		ev, err := tr.Next()
 		if err == io.EOF {

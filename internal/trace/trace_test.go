@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"faros/internal/record"
@@ -238,4 +241,95 @@ func TestReadMetaHeaderOnly(t *testing.T) {
 	if got.Scenario != meta.Scenario || got.FinalInstr != 7 || got.Events != uint64(len(testEvents())) {
 		t.Fatalf("ReadMeta: %+v", got)
 	}
+}
+
+// oversizeHeaders returns bodies whose header declares far more than the
+// body carries: a 64 MiB spec wire in 10 bytes, 2^40 events behind a
+// complete 87-byte header, and that header followed by a 64 MiB chunk
+// length.
+func oversizeHeaders() map[string][]byte {
+	specWire := []byte{'F', 'T', 'R', 'C', version, 0, 0x80, 0x80, 0x80, 0x20}
+	var hdr bytes.Buffer
+	hdr.WriteString(magic)
+	hdr.WriteByte(version)
+	hdr.Write([]byte{0, 0}) // empty scenario name and spec wire
+	empty := sha256.Sum256(nil)
+	hdr.Write(empty[:])
+	hdr.Write(make([]byte, sha256.Size+8)) // memory image, final instr
+	var count [8]byte
+	binary.BigEndian.PutUint64(count[:], 1<<40)
+	hdr.Write(count[:])
+	events := hdr.Bytes()
+	chunk := append(append([]byte(nil), events...), 0x80, 0x80, 0x80, 0x20)
+	return map[string][]byte{"spec wire": specWire, "events": events, "chunk": chunk}
+}
+
+// TestDecodeBoundsAllocations: lengths a header declares reserve no
+// memory the body does not back. Each crafted body fails as corrupt
+// having allocated well under 1 MiB.
+func TestDecodeBoundsAllocations(t *testing.T) {
+	for name, body := range oversizeHeaders() {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeBytes(body)
+		runtime.ReadMemStats(&after)
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s (%d bytes): err = %v, want *CorruptError", name, len(body), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s (%d bytes): decode allocated %d bytes, want < 1 MiB", name, len(body), got)
+		}
+	}
+}
+
+// FuzzDecodeBytes: the decoder never panics, fails only with its typed
+// errors, and whatever it accepts re-encodes to a trace that decodes to
+// the same header and log.
+func FuzzDecodeBytes(f *testing.F) {
+	// Small seeds keep the fuzzer's mutations and minimization cheap; a
+	// real spec's wire form is kilobytes of JSON the decoder only hashes.
+	small := Meta{Scenario: "s", SpecWire: []byte(`{"name":"s"}`)}
+	var events []record.Event
+	for _, ev := range testEvents() {
+		if len(ev.Data) < 16 {
+			events = append(events, ev)
+		}
+	}
+	for _, seed := range []struct {
+		meta   Meta
+		events []record.Event
+	}{{small, nil}, {small, events}} {
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, seed.meta, seed.events); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, body := range oversizeHeaders() {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, log, err := DecodeBytes(data)
+		if err != nil {
+			var ce *CorruptError
+			var le *LegacyFormatError
+			if !errors.As(err, &ce) && !errors.As(err, &le) {
+				t.Fatalf("untyped decode error %T: %v", err, err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, meta, log.Events); err != nil {
+			t.Fatalf("re-encode accepted trace: %v", err)
+		}
+		meta2, log2, err := DecodeBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("decode re-encoded trace: %v", err)
+		}
+		if !reflect.DeepEqual(meta, meta2) || !reflect.DeepEqual(log, log2) {
+			t.Fatalf("round trip changed the trace:\n got %+v %+v\nwant %+v %+v", meta2, log2, meta, log)
+		}
+	})
 }
