@@ -6,3 +6,6 @@ const (
 	MaxAnalyzeBody = maxAnalyzeBody
 	MaxTraceUpload = maxTraceUpload
 )
+
+// MaxSpecInstr exposes the max_instr ceiling to the HTTP tests.
+const MaxSpecInstr = maxSpecInstr
