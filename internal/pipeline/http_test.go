@@ -76,7 +76,7 @@ func TestServerEndToEnd(t *testing.T) {
 
 	// Kick off the wedged job first so it occupies a worker while the
 	// corpus drains through the remaining three.
-	wedgedWire, err := samples.MarshalSpec(samples.Spinner(1 << 40))
+	wedgedWire, err := samples.MarshalSpec(samples.Spinner(pipeline.MaxSpecInstr))
 	if err != nil {
 		t.Fatal(err)
 	}
